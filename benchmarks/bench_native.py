@@ -1,22 +1,21 @@
-"""Native kernels vs the NumPy paths on the three measured hot-loop dominators.
+"""Native kernels vs the NumPy paths on the two measured hot-loop dominators.
 
-The ``repro.native`` tier compiles exactly the loops profiling shows dominate
-wall-clock once everything NumPy can vectorise is vectorised: the CNF
-kernel's clause reduction, the engine executor's per-block slot loops
-(forward + backward), and the transform's per-candidate complement scan.
-This benchmark times each dominator on the headline instance with the native
-tier engaged and with kernels forced off (``use_kernel("python")``), prints
-the three speedups, and rewrites ``BENCH_native.json`` with the record —
-committing the file each PR accumulates the tiers' perf trajectory in
-version history.
+The ``repro.native`` C tier compiles exactly the loops profiling shows
+dominate wall-clock once everything NumPy can vectorise is vectorised: the
+CNF kernel's clause reduction and the engine executor's per-block slot loops
+(forward + backward).  This benchmark times each dominator on the headline
+instance with the native kernels engaged and with kernels forced off
+(``use_kernel("python")``), prints the two speedups, and rewrites
+``BENCH_native.json`` with the record — committing the file each PR
+accumulates the kernels' perf trajectory in version history.
 
-All timed loops run *warm*: the one-time C build / Numba JIT cost is paid by
-the session-scoped ``warm_native_kernels`` fixture (see ``conftest.py``) and
+All timed loops run *warm*: the one-time C build cost is paid by the
+session-scoped ``warm_native_kernels`` fixture (see ``conftest.py``) and
 reported separately in the record as ``compile_seconds``.
 
 The gate asserts the best dominator speedup against
 ``REPRO_BENCH_NATIVE_MIN_SPEEDUP`` (default 2.0; CI uses a lower floor for
-noisy shared runners).  Hosts where no native tier can be brought up skip
+noisy shared runners).  Hosts where the C tier cannot be brought up skip
 loudly instead of silently passing.
 """
 
@@ -29,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.obs.bench import time_passes
-from benchmarks.bench_transform_cold import HEADLINE_INSTANCE, _cold
+from benchmarks.bench_transform_cold import HEADLINE_INSTANCE
 from benchmarks.conftest import engine_bench_batch, native_min_speedup
 from repro import native
 from repro.core.model import ProbabilisticCircuitModel
@@ -44,11 +43,11 @@ BENCH_NATIVE_JSON = Path(__file__).resolve().parent.parent / "BENCH_native.json"
 
 @pytest.mark.benchmark(group="native")
 def test_native_kernels_vs_numpy(benchmark):
-    """Native vs NumPy on CNF eval, engine fwd+bwd and the transform scan."""
+    """Native vs NumPy on CNF eval and engine fwd+bwd."""
     if not native.native_available():
         pytest.skip(
-            "no native kernel tier can be brought up on this host "
-            "(no system C compiler and no Numba) — native speedup gate skipped"
+            "the native C tier cannot be brought up on this host "
+            "(no system C compiler) — native speedup gate skipped"
         )
     tier = native.active_tier("auto")
     compile_seconds = native.compile_seconds()
@@ -95,17 +94,8 @@ def test_native_kernels_vs_numpy(benchmark):
             engine_step()
 
     def engine_native():
-        with native.use_kernel(tier):
+        with native.use_kernel("native"):
             engine_step()
-
-    # -- dominator 3: transform stream loop (complement scans) ---------------------------
-    def transform_numpy():
-        with native.use_kernel("python"):
-            _cold(lambda: transform_cnf(formula))
-
-    def transform_native():
-        with native.use_kernel(tier):
-            _cold(lambda: transform_cnf(formula))
 
     passes, repeats = 5, 3
     cnf_numpy_seconds = time_passes(cnf_numpy, repeats, passes, reduce="best")
@@ -114,13 +104,10 @@ def test_native_kernels_vs_numpy(benchmark):
     engine_native_seconds = benchmark.pedantic(
         lambda: time_passes(engine_native, repeats, passes, reduce="best"), rounds=1, iterations=1
     )
-    transform_numpy_seconds = time_passes(transform_numpy, 2, 2, reduce="best")
-    transform_native_seconds = time_passes(transform_native, 2, 2, reduce="best")
 
     speedups = {
         "cnf_eval": cnf_numpy_seconds / cnf_native_seconds,
         "engine_fwd_bwd": engine_numpy_seconds / engine_native_seconds,
-        "transform_scan": transform_numpy_seconds / transform_native_seconds,
     }
     best_dominator = max(speedups, key=speedups.get)
     record = {
@@ -134,8 +121,6 @@ def test_native_kernels_vs_numpy(benchmark):
         "cnf_native_seconds": cnf_native_seconds,
         "engine_numpy_seconds": engine_numpy_seconds,
         "engine_native_seconds": engine_native_seconds,
-        "transform_numpy_seconds": transform_numpy_seconds,
-        "transform_native_seconds": transform_native_seconds,
         "speedups": speedups,
         "best_dominator": best_dominator,
         "best_speedup": speedups[best_dominator],
@@ -145,8 +130,7 @@ def test_native_kernels_vs_numpy(benchmark):
     print()
     print(
         f"{entry.name} [{tier}]: cnf {speedups['cnf_eval']:.1f}x, "
-        f"engine {speedups['engine_fwd_bwd']:.1f}x, "
-        f"transform {speedups['transform_scan']:.1f}x over NumPy "
+        f"engine {speedups['engine_fwd_bwd']:.1f}x over NumPy "
         f"(compile {compile_seconds:.2f}s excluded from all timed loops)"
     )
     minimum = native_min_speedup()

@@ -72,7 +72,7 @@ def _cold(fn):
 
 def _best_of(fn, repeats: int = 3) -> float:
     # The shared loop's untimed warm-up keeps process-wide one-time costs
-    # (native kernel build/JIT, lazy imports) out of the cold-start numbers;
+    # (native kernel build, lazy imports) out of the cold-start numbers;
     # _cold still drops every per-artifact memo before each timed run.
     return time_passes(lambda: _cold(fn), repeats=repeats, reduce="best")
 

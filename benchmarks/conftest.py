@@ -91,7 +91,7 @@ def workloads_min_speedup() -> float:
 
 
 def native_min_speedup() -> float:
-    """Required native-over-NumPy speedup on the best of the three measured
+    """Required native-over-NumPy speedup on the best of the two measured
     dominators (lower it on noisy shared CI; <= 0 skips the gate loudly while
     still recording the measurement)."""
     return float(os.environ.get("REPRO_BENCH_NATIVE_MIN_SPEEDUP", "2.0"))
@@ -99,16 +99,16 @@ def native_min_speedup() -> float:
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_native_kernels():
-    """Bring the native kernel tier up once, before any timed region.
+    """Bring the native C tier up once, before any timed region.
 
-    The C build / Numba JIT is a one-time process cost; paying it inside a
+    The C build is a one-time process cost; paying it inside a
     benchmark's first timed pass would corrupt that contender's numbers.  It
     is reported separately (``repro.native.compile_seconds``) where the
     cold-start accounting wants it.
     """
     from repro import native
 
-    native.kernels_for(None)  # auto: build the best tier, or silently none
+    native.kernels_for(None)  # auto: build the C tier, or silently none
 
 
 def store_min_speedup() -> float:

@@ -43,6 +43,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
+from repro import native
 from repro.circuit.bench_format import write_bench
 from repro.circuit.verilog import to_verilog
 from repro.cnf.dimacs import write_dimacs_file
@@ -84,13 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              "REPRO_ARRAY_BACKEND environment variable and the config "
                              "(precedence: env < config < CLI)")
     sample.add_argument("--kernel", default=None,
-                        choices=["auto", "native", "python", "off", "cext", "numba"],
+                        choices=native.MODES,
                         help="native kernel mode for the hot loops: 'auto' "
-                             "(best available tier, silently none), 'native' "
-                             "(require a tier), 'python'/'off' (pure "
-                             "NumPy/Python), or a specific tier — overrides "
-                             "the REPRO_NATIVE environment variable and the "
-                             "config (precedence: env < config < CLI)")
+                             "(the C kernels when available, silently none), "
+                             "'native' (require them), or 'python'/'off' "
+                             "(pure NumPy/Python) — overrides the REPRO_NATIVE "
+                             "environment variable and the config "
+                             "(precedence: env < config < CLI)")
     sample.add_argument("-o", "--output", default=None,
                         help="write solutions (signed-literal lines) to this file")
     sample.add_argument("--project", action="append", type=int, default=None,
@@ -139,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="array backend each worker pins at startup "
                             "(job configs may still override per job)")
     serve.add_argument("--kernel", default=None,
-                       choices=["auto", "native", "python", "off", "cext", "numba"],
+                       choices=native.MODES,
                        help="native kernel mode each worker pins at startup "
                             "(job configs may still override per job)")
     serve.add_argument("--cache-entries", type=int, default=8,
@@ -215,10 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="run the original rescan-everything reference "
                                 "implementation instead of the indexed fast "
                                 "path (identical output, for benchmarking)")
-    transform.add_argument("--kernel", default=None,
-                           choices=["auto", "native", "python", "off", "cext", "numba"],
-                           help="native kernel mode for the complement-scan "
-                                "fast path (see 'sample --kernel')")
     transform.add_argument("--trace", default=None, metavar="FILE",
                            help="record a telemetry trace of the transform to "
                                 "this JSONL file (inspect with 'repro-sat obs')")
@@ -274,8 +271,6 @@ def _task_from_arguments(arguments: argparse.Namespace):
 
 
 def _command_sample(arguments: argparse.Namespace) -> int:
-    from repro.native import use_kernel
-
     formula = load_formula(Path(arguments.cnf))
     task = _task_from_arguments(arguments)
     config = SamplerConfig(
@@ -293,7 +288,7 @@ def _command_sample(arguments: argparse.Namespace) -> int:
     )
     # The kernel scope also covers the transform inside the pipeline (the
     # sampler re-applies config.kernel around its own runs).
-    with use_kernel(arguments.kernel):
+    with native.use_kernel(arguments.kernel):
         result = sample_cnf(
             formula, num_solutions=arguments.num_solutions, config=config, task=task
         )
@@ -520,10 +515,9 @@ def _command_serve(arguments: argparse.Namespace) -> int:
 
 def _command_transform(arguments: argparse.Namespace) -> int:
     from repro import obs
-    from repro.native import use_kernel
 
     formula = load_formula(Path(arguments.cnf))
-    with obs.trace_scope(arguments.trace), use_kernel(arguments.kernel):
+    with obs.trace_scope(arguments.trace):
         result = transform_cnf(
             formula,
             simplify_expressions=not arguments.no_simplify,

@@ -248,7 +248,7 @@ class CNF:
         Column ``j`` of ``assignments`` holds the value of variable ``j + 1``.
         Returns a boolean vector of length ``batch`` that is ``True`` where all
         clauses are satisfied.  ``backend`` selects the implementation
-        (``"compiled"``, ``"packed"``, the compiled-C/Numba ``"native"`` or
+        (``"compiled"``, ``"packed"``, the compiled-C ``"native"`` or
         the clause-loop ``"reference"``); ``None`` uses
         :func:`repro.cnf.kernel.default_backend`.  All backends are
         bitwise-identical.  Like ``"reference"``, the ``"native"`` kernel runs

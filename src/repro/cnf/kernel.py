@@ -123,9 +123,9 @@ def resolve_native_kernels():
             f"(mode 'python' via ${native.NATIVE_ENV_VAR} or "
             "repro.native.set_default_mode)"
         )
-    # A tier-specific default mode keeps selecting that tier; "auto" hardens
-    # to "native" so the explicit backend request fails loudly if unavailable.
-    return native.kernels_for("native" if mode == "auto" else mode)
+    # "auto" hardens to "native" so the explicit backend request fails
+    # loudly if the C tier is unavailable.
+    return native.kernels_for("native")
 
 
 @dataclass(frozen=True)

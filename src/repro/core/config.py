@@ -53,7 +53,7 @@ class SamplerConfig:
     #: NumPy) — precedence: environment < config < CLI (the CLI writes this
     #: field, so it wins).
     array_backend: Optional[str] = None
-    #: Native kernel mode ("auto", "native", "python"/"off", "cext", "numba")
+    #: Native kernel mode ("auto", "native", "python"/"off")
     #: scoping :mod:`repro.native` for this sampler's runs.  ``None`` leaves
     #: the process default (``REPRO_NATIVE`` env or "auto") in place —
     #: precedence: environment < config < CLI (the CLI writes this field).

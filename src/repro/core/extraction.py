@@ -175,36 +175,10 @@ def find_boolean_expression(
             if not clause.contains(variable) and not clause.contains(-variable):
                 return None
     if use_fast_path:
-        kernels = _scan_kernels() if max_vars <= _NATIVE_MAX_VARS else None
-        if kernels is not None:
-            # The native scan fuses the prelude below (raw support, tautology
-            # rule, width gate) with the bitmask complement check over uint64
-            # words; verdicts are pinned decision-for-decision to this
-            # function's Python path by tests/native/.
-            verdict = kernels.complement_scan(variable, clauses, max_vars)
-            if verdict == 0:
-                return None
-            if verdict == 1:
-                return expression_for_literal(variable, clauses, prefix)
-            # verdict -1: raw support wider than max_vars — normalisation may
-            # still shrink it, so fall through to the exact expression route.
-        else:
-            return _find_boolean_expression_fast(
-                variable, clauses, prefix, max_vars, use_fast_path
-            )
+        return _find_boolean_expression_fast(variable, clauses, prefix, max_vars)
     return _find_boolean_expression_exact(
-        variable, clauses, prefix, max_vars, use_fast_path
+        variable, clauses, prefix, max_vars, use_fast_path=False
     )
-
-
-def _scan_kernels():
-    """Native kernels for the complement scan, or ``None`` (pure-Python path)."""
-    from repro import native
-
-    return native.kernels_for(None)
-
-
-_NATIVE_MAX_VARS = 16
 
 
 def _find_boolean_expression_fast(
@@ -212,7 +186,6 @@ def _find_boolean_expression_fast(
     clauses: Sequence[Clause],
     prefix: str,
     max_vars: int,
-    use_fast_path: bool,
 ) -> Optional[Expr]:
     """The pure-Python fast path (big-int bitmask complement check)."""
     raw_support = set()
@@ -239,7 +212,7 @@ def _find_boolean_expression_fast(
     # Wide raw support: normalisation may still shrink it under the
     # gate, so fall through to the exact expression-based route.
     return _find_boolean_expression_exact(
-        variable, clauses, prefix, max_vars, use_fast_path
+        variable, clauses, prefix, max_vars, use_fast_path=True
     )
 
 

@@ -882,9 +882,6 @@ def _transform_cnf_impl(
     use_fast_path: bool,
 ) -> TransformResult:
     start = _perf()
-    from repro import native as native_kernels
-
-    compile_before = native_kernels.compile_seconds()
     clauses = list(formula.clauses)
     stats = TransformStats(num_clauses=len(clauses))
     stats.cnf_operations = formula.two_input_operation_count()
@@ -965,11 +962,6 @@ def _transform_cnf_impl(
 
     stats.circuit_operations = two_input_gate_equivalents(circuit)
     stats.num_definitions = len(definitions)
-    compile_delta = native_kernels.compile_seconds() - compile_before
-    if compile_delta > 0.0:
-        # One-time native kernel build cost incurred during this transform;
-        # recorded as its own stage so cold numbers can be read warm.
-        stats.add_stage("native_compile", compile_delta)
     stats.seconds = _perf() - start
 
     intermediate_variables = [
@@ -1202,9 +1194,6 @@ def _retransform_impl(
         )
 
     start = _perf()
-    from repro import native as native_kernels
-
-    compile_before = native_kernels.compile_seconds()
     (
         position,
         num_definitions,
@@ -1307,9 +1296,6 @@ def _retransform_impl(
 
     stats.circuit_operations = two_input_gate_equivalents(circuit)
     stats.num_definitions = len(state.definitions)
-    compile_delta = native_kernels.compile_seconds() - compile_before
-    if compile_delta > 0.0:
-        stats.add_stage("native_compile", compile_delta)
     stats.seconds = _perf() - start
 
     intermediate_variables = [

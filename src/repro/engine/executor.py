@@ -46,8 +46,8 @@ def _native_kernels(xpb: ArrayBackend, float_mode: bool = False):
     """The native kernel set to engage for an execution on ``xpb``, or ``None``.
 
     Native execution engages automatically when the backend is NumPy and a
-    native tier is importable (mode ``auto``); explicitly requested modes
-    (``native``/``cext``/``numba``) raise
+    native tier is importable (mode ``auto``); an explicitly requested
+    ``native`` mode raises
     :class:`~repro.xp.backend.BackendUnavailableError` when unavailable, and
     ``python`` disables the fast path outright.  Device backends always run
     the array-program path — their data is not host-addressable.

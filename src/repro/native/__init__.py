@@ -1,29 +1,25 @@
-"""Optional native kernel tiers for the measured hot loops (``repro.native``).
+"""Native C kernels for the measured hot loops (``repro.native``).
 
 After the array-backend work vectorised everything NumPy can vectorise, the
 remaining wall-clock lives in loops NumPy cannot fuse: the CNF kernel's
-width-bucketed clause reduction, the engine executor's per-block dispatch and
-the transform's per-candidate complement checks.  This package provides
-compiled implementations of exactly those three dominators, each pinned to
-the pure-Python path by the equivalence suite in ``tests/native/``:
+width-bucketed clause reduction and the engine executor's per-block
+dispatch.  This package provides one compiled tier for exactly those two
+dominators — small dependency-free C kernels compiled on demand with the
+system compiler and loaded via :mod:`ctypes` (:mod:`repro.native.cext`),
+each pinned to the pure-Python path by the equivalence suite in
+``tests/native/``.  A compiled kernel stays only where a benchmark shows it
+beats NumPy (``benchmarks/bench_native.py``).
 
-* the **cext** tier — small dependency-free C kernels compiled on demand with
-  the system compiler and loaded via :mod:`ctypes`
-  (:mod:`repro.native.cext`);
-* the **numba** tier — jitted mirrors used when Numba is installed
-  (:mod:`repro.native.numba_tier`).
-
-Tier selection mirrors :mod:`repro.xp` backend selection, with precedence
+Mode selection mirrors :mod:`repro.xp` backend selection, with precedence
 ``environment < SamplerConfig.kernel < CLI --kernel``:
 
-* ``auto`` (default) — the best available tier, silently none when no tier
-  can be brought up (pure-Python/NumPy paths keep running unchanged);
-* ``native`` — the best available tier, raising
-  :class:`~repro.xp.backend.BackendUnavailableError` when none is;
-* ``cext`` / ``numba`` — that specific tier or an error;
+* ``auto`` (default) — the C tier when it can be brought up, silently none
+  otherwise (pure-Python/NumPy paths keep running unchanged);
+* ``native`` — the C tier, raising
+  :class:`~repro.xp.backend.BackendUnavailableError` when it is unavailable;
 * ``python`` (alias ``off``) — disable native kernels outright.
 
-Availability is probed once per process and memoised; the one-time build/JIT
+Availability is probed once per process and memoised; the one-time build
 cost is reported by :func:`compile_seconds` so the serving layer and the
 benchmarks can keep cold-vs-warm numbers honest.
 """
@@ -36,27 +32,18 @@ from contextlib import contextmanager
 from typing import Iterator, Optional, Tuple
 
 from repro.xp.backend import BackendUnavailableError
-from repro.native.kernels import (
-    NativeKernels,
-    TRANSFORM_MAX_VARS,
-    clear_artifact_caches,
-)
+from repro.native.kernels import NativeKernels, clear_artifact_caches
 
 #: Environment variable selecting the default kernel mode.
 NATIVE_ENV_VAR = "REPRO_NATIVE"
 
 #: Recognised kernel modes (``off`` is accepted as an alias of ``python``).
-MODES = ("auto", "native", "python", "off", "cext", "numba")
-
-#: Tier probe order under ``auto``/``native``.
-TIERS = ("cext", "numba")
+MODES = ("auto", "native", "python", "off")
 
 _DEFAULT_MODE: Optional[str] = None
 _LOCK = threading.Lock()
-#: Memoised tier probes: name -> (kernels or None, error message or None).
-_TIER_STATE: dict = {}
-#: Memoised ``numba_tier`` module (False = not probed, None = unavailable).
-_NUMBA_MODULE: object = False
+#: Memoised probe of the C tier: (kernels or None, error message or None).
+_PROBE: Optional[Tuple[Optional[NativeKernels], Optional[str]]] = None
 
 
 def _validate_mode(mode: str) -> str:
@@ -100,65 +87,42 @@ def use_kernel(mode: Optional[str]) -> Iterator[None]:
         _DEFAULT_MODE = previous
 
 
-def _probe_tier(name: str) -> Tuple[Optional[NativeKernels], Optional[str]]:
-    state = _TIER_STATE.get(name)  # lock-free fast path once probed
+def _probe() -> Tuple[Optional[NativeKernels], Optional[str]]:
+    global _PROBE
+    state = _PROBE  # lock-free fast path once probed
     if state is not None:
         return state
     with _LOCK:
-        state = _TIER_STATE.get(name)
-        if state is None:
+        if _PROBE is None:
             try:
-                if name == "cext":
-                    from repro.native.kernels import CExtKernels
-
-                    state = (CExtKernels(), None)
-                else:
-                    from repro.native.kernels import NumbaKernels
-
-                    state = (NumbaKernels(), None)
+                _PROBE = (NativeKernels(), None)
             except BackendUnavailableError as error:
-                state = (None, str(error))
+                _PROBE = (None, str(error))
             except Exception as error:  # pragma: no cover - environment-specific
-                state = (None, f"native tier {name!r} failed to load: {error}")
-            _TIER_STATE[name] = state
-        return state
+                _PROBE = (None, f"native C tier failed to load: {error}")
+        return _PROBE
 
 
 def kernels_for(mode: Optional[str] = None) -> Optional[NativeKernels]:
     """The kernel set for ``mode``, or ``None`` when native execution is off.
 
-    ``auto`` degrades silently to ``None`` when no tier is available; the
-    explicit modes (``native``, ``cext``, ``numba``) raise
-    :class:`~repro.xp.backend.BackendUnavailableError` instead, mirroring how
-    explicitly requested array backends fail loudly while defaults degrade.
+    ``auto`` degrades silently to ``None`` when the C tier is unavailable;
+    ``native`` raises :class:`~repro.xp.backend.BackendUnavailableError`
+    instead, mirroring how explicitly requested array backends fail loudly
+    while defaults degrade.
     """
     resolved = resolve_mode(mode)
     if resolved == "python":
         return None
-    if resolved in ("cext", "numba"):
-        kernels, error = _probe_tier(resolved)
-        if kernels is None:
-            raise BackendUnavailableError(error or f"native tier {resolved!r} unavailable")
-        return kernels
-    errors = []
-    for tier in TIERS:
-        kernels, error = _probe_tier(tier)
-        if kernels is not None:
-            return kernels
-        errors.append(error or f"{tier}: unavailable")
-    if resolved == "native":
-        raise BackendUnavailableError(
-            "no native kernel tier available: " + "; ".join(errors)
-        )
-    return None
+    kernels, error = _probe()
+    if kernels is None and resolved == "native":
+        raise BackendUnavailableError(f"no native kernel tier available: {error}")
+    return kernels
 
 
 def native_available() -> bool:
-    """Whether any native tier can be brought up in this process."""
-    try:
-        return kernels_for("auto") is not None
-    except BackendUnavailableError:  # pragma: no cover - auto never raises
-        return False
+    """Whether the C tier can be brought up in this process."""
+    return _probe()[0] is not None
 
 
 def active_tier(mode: Optional[str] = None) -> Optional[str]:
@@ -171,54 +135,28 @@ def active_tier(mode: Optional[str] = None) -> Optional[str]:
 
 
 def available_tiers() -> Tuple[str, ...]:
-    """The native tiers that can be brought up, in probe order."""
-    return tuple(tier for tier in TIERS if _probe_tier(tier)[0] is not None)
+    """The native tiers that can be brought up: ``("cext",)`` or ``()``."""
+    kernels = _probe()[0]
+    return () if kernels is None else (kernels.tier,)
 
 
 def compile_seconds() -> float:
     """Total wall-clock seconds this process spent building native kernels.
 
-    Covers the C tier's shared-library build (0.0 on a disk-cache hit) and
-    the Numba tier's JIT warm-up.  Monotone non-decreasing; callers snapshot
-    deltas around work units to attribute compile cost honestly.
+    The C tier's shared-library build (0.0 on a disk-cache hit).  Monotone
+    non-decreasing; callers snapshot deltas around work units to attribute
+    compile cost honestly.
     """
-    total = 0.0
     from repro.native import cext
 
-    total += cext.compile_seconds()
-    numba_tier = _numba_module()
-    if numba_tier is not None:
-        total += numba_tier.compile_seconds()
-    return total
-
-
-def _numba_module():
-    """The ``numba_tier`` module, or ``None`` when Numba is absent (memoised).
-
-    A module whose body raises is evicted from ``sys.modules``, so repeating
-    the bare import from concurrent threads can surface as a spurious
-    ``ImportError`` mid-import; probing once under the lock keeps
-    :func:`compile_seconds` thread-safe and cheap.
-    """
-    global _NUMBA_MODULE
-    if _NUMBA_MODULE is not False:
-        return _NUMBA_MODULE
-    with _LOCK:
-        if _NUMBA_MODULE is False:
-            try:
-                from repro.native import numba_tier
-
-                _NUMBA_MODULE = numba_tier
-            except (BackendUnavailableError, ImportError):
-                _NUMBA_MODULE = None
-    return _NUMBA_MODULE
+    return cext.compile_seconds()
 
 
 def clear_caches() -> None:
     """Drop per-artifact native memos (flattened programs, CNF plan arrays).
 
-    Folded into :func:`repro.xp.clear_caches`; the compiled libraries and
-    jitted functions themselves stay loaded (they are artifact-independent).
+    Folded into :func:`repro.xp.clear_caches`; the compiled library itself
+    stays loaded (it is artifact-independent).
     """
     clear_artifact_caches()
 
@@ -228,8 +166,6 @@ __all__ = [
     "MODES",
     "NATIVE_ENV_VAR",
     "NativeKernels",
-    "TIERS",
-    "TRANSFORM_MAX_VARS",
     "active_tier",
     "available_tiers",
     "clear_caches",

@@ -266,9 +266,9 @@ class SamplingService:
         default.
     kernel:
         Native kernel mode (:mod:`repro.native`: ``"auto"``, ``"native"``,
-        ``"python"``/``"off"``, ``"cext"``, ``"numba"``) each worker pins at
-        startup; job configs with a ``kernel`` field keep their own choice.
-        ``None`` leaves the process default (``REPRO_NATIVE``) in place.
+        ``"python"``/``"off"``) each worker pins at startup; job configs
+        with a ``kernel`` field keep their own choice.  ``None`` leaves
+        the process default (``REPRO_NATIVE``) in place.
     cache_entries / cache_bytes:
         Bounds of each worker's formula-keyed artifact cache (LRU over
         entry count *and* total compiled bytes).

@@ -12,7 +12,7 @@ kernel and every memo against an independent oracle.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.boolalg.expr import And, Not, Or, Var, Xor
@@ -28,6 +28,24 @@ from tests.conftest import all_assignments
 
 
 # -- strategies --------------------------------------------------------------------------
+
+def _random_group(rng: np.random.Generator, num_vars: int, mention_rate: float = 0.9):
+    """A random clause group biased towards mentioning the candidate variable."""
+    variable = int(rng.integers(1, num_vars + 1))
+    clauses = []
+    for _ in range(int(rng.integers(1, 7))):
+        width = int(rng.integers(1, 5))
+        literals = [
+            int(v) * (1 if rng.random() < 0.5 else -1)
+            for v in rng.integers(1, num_vars + 1, size=width)
+        ]
+        if rng.random() < mention_rate:
+            literals.append(variable if rng.random() < 0.5 else -variable)
+        if rng.random() < 0.1:  # occasionally tautological w.r.t. the candidate
+            literals.extend([variable, -variable])
+        clauses.append(Clause(literals))
+    return variable, clauses
+
 
 @st.composite
 def random_cnfs(draw):
@@ -276,6 +294,14 @@ class TestBoolalgFastPaths:
             assert fast is expr
 
 
+def _assert_extraction_matches_reference(variable, clauses, max_vars):
+    fast = find_boolean_expression(variable, clauses, max_vars=max_vars)
+    reference = find_boolean_expression(
+        variable, clauses, max_vars=max_vars, use_fast_path=False
+    )
+    assert fast == reference, (variable, [c.literals for c in clauses], max_vars)
+
+
 class TestExtractionFastPath:
     @given(random_cnfs(), st.integers(1, 6))
     @settings(max_examples=100, deadline=None)
@@ -291,17 +317,29 @@ class TestExtractionFastPath:
 
     @given(random_cnfs(), st.integers(1, 6), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
+    # Raw support of 4 with max_vars=3: both paths must refuse the width gate
+    # the same way (the fast path falls back to the exact expression route).
+    @example(
+        formula=CNF([[-1, 2, 3, 4, 5], [1, -2, -3, -4, -5]], num_variables=5),
+        variable=1,
+        max_vars=3,
+    )
     def test_width_gate_matches_reference(self, formula, variable, max_vars):
         clauses = [
             clause
             for clause in formula.clauses
             if clause.contains(variable) or clause.contains(-variable)
         ]
-        fast = find_boolean_expression(variable, clauses, max_vars=max_vars)
-        reference = find_boolean_expression(
-            variable, clauses, max_vars=max_vars, use_fast_path=False
-        )
-        assert fast == reference
+        _assert_extraction_matches_reference(variable, clauses, max_vars)
+
+    @pytest.mark.parametrize("max_vars", [3, 8, 16])
+    def test_fuzzed_groups_match_reference(self, max_vars):
+        # Groups need not all mention the candidate; ~10% of clauses are
+        # tautological in it, which keeps it in the derived support.
+        rng = np.random.default_rng(max_vars)
+        for _ in range(400):
+            variable, clauses = _random_group(rng, num_vars=max_vars + 2)
+            _assert_extraction_matches_reference(variable, clauses, max_vars)
 
     def test_unit_clause_pair_definitions(self):
         # (v) alone defines v := TRUE; (v) & (~v) defines nothing.

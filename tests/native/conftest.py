@@ -1,9 +1,9 @@
 """Fixtures for the native-kernel equivalence suite.
 
-Every test parametrised over ``kernels``/``tier`` runs once per native tier
-that can actually be brought up on this host (the C extension wherever a
-system compiler exists, Numba where it is installed) and is skipped wholesale
-when no tier is available — the suite must pass on hosts with neither.
+Every test taking ``kernels``/``tier`` runs against the C tier wherever a
+system compiler can build it (test ids carry the tier name, ``[cext]``) and
+is skipped wholesale when it cannot — the suite must pass on hosts without
+a compiler.  Tests select the tier through the ``native`` mode.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ AVAILABLE_TIERS = native.available_tiers()
 
 @pytest.fixture(params=AVAILABLE_TIERS if AVAILABLE_TIERS else ["missing"])
 def tier(request) -> str:
-    """Each available native tier name, skipping when none can load."""
+    """The C tier's name, skipping when it cannot load."""
     if request.param == "missing":
         pytest.skip("no native kernel tier available on this host")
     return request.param
@@ -26,4 +26,4 @@ def tier(request) -> str:
 @pytest.fixture
 def kernels(tier):
     """The :class:`~repro.native.kernels.NativeKernels` facade of ``tier``."""
-    return native.kernels_for(tier)
+    return native.kernels_for("native")

@@ -69,7 +69,7 @@ class TestClearCaches:
     def test_memos_rebuild_after_clearing(self, tier, kernels):
         formula = _formula()
         matrix = np.random.default_rng(3).random((16, 3)) < 0.5
-        with native.use_kernel(tier):
+        with native.use_kernel("native"):
             before = formula.evaluate_batch(matrix, backend="native")
             xp.clear_caches()
             after = formula.evaluate_batch(matrix, backend="native")
@@ -88,7 +88,7 @@ class TestArtifactCacheEviction:
         assert built
         plan = artifact.formula.evaluation_plan()
         matrix = np.random.default_rng(4).random((8, plan.num_variables)) < 0.5
-        with native.use_kernel(tier):
+        with native.use_kernel("native"):
             artifact.formula.evaluate_batch(matrix, backend="native")
         assert "native" in plan._native_arrays
         cache.get_or_build(formula=_formula())

@@ -31,7 +31,7 @@ def _assert_all_backends_agree(formula: CNF, matrix: np.ndarray) -> None:
 
 @pytest.mark.parametrize("tier", sorted(native.available_tiers()) or ["missing"])
 class TestHypothesisEquivalence:
-    """Random CNFs over every width bucket, every tier, bitwise vs reference.
+    """Random CNFs over every width bucket, bitwise vs reference.
 
     Parametrised directly (not via the ``tier`` fixture) because Hypothesis
     flags function-scoped fixtures inside ``@given`` tests.
@@ -62,7 +62,7 @@ class TestHypothesisEquivalence:
         formula = CNF(clauses, num_variables=num_variables, name="hyp-native")
         matrix = _random_matrix(seed, batch, num_variables)
         plan = formula.evaluation_plan()
-        kernels = native.kernels_for(tier)
+        kernels = native.kernels_for("native")
         result = kernels.cnf_evaluate(plan, matrix)
         counts = kernels.cnf_unsatisfied_counts(plan, matrix)
         assert result.dtype == np.bool_
@@ -83,7 +83,7 @@ class TestStructuredFormulas:
     def test_empty_clause_falsifies_every_row(self, tier):
         formula = CNF([[1, 2], []], num_variables=2)
         matrix = _random_matrix(0, 9, 2)
-        with native.use_kernel(tier):
+        with native.use_kernel("native"):
             np.testing.assert_array_equal(
                 formula.evaluate_batch(matrix, backend="native"),
                 np.zeros(9, dtype=bool),
@@ -96,7 +96,7 @@ class TestStructuredFormulas:
     def test_formula_with_no_clauses_satisfies_every_row(self, tier):
         formula = CNF([], num_variables=3)
         matrix = _random_matrix(1, 5, 3)
-        kernels = native.kernels_for(tier)
+        kernels = native.kernels_for("native")
         plan = formula.evaluation_plan()
         np.testing.assert_array_equal(
             kernels.cnf_evaluate(plan, matrix), np.ones(5, dtype=bool)
@@ -107,7 +107,7 @@ class TestStructuredFormulas:
 
     def test_empty_batch(self, tier):
         formula = CNF([[1, -2], [2]], num_variables=2)
-        kernels = native.kernels_for(tier)
+        kernels = native.kernels_for("native")
         plan = formula.evaluation_plan()
         assert kernels.cnf_evaluate(plan, np.zeros((0, 2), dtype=bool)).shape == (0,)
 
@@ -116,12 +116,12 @@ class TestStructuredFormulas:
         clauses = [list(range(1, 1 + w)) for w in range(1, 7)] + [[-8]]
         formula = CNF(clauses, num_variables=8)
         matrix = _random_matrix(2, 129, 8)  # crosses the 64-lane word boundary
-        with native.use_kernel(tier):
+        with native.use_kernel("native"):
             _assert_all_backends_agree(formula, matrix)
 
     def test_word_boundary_batches(self, tier):
         formula = CNF([[1, -2, 3], [-1, 2], [3]], num_variables=3)
-        kernels = native.kernels_for(tier)
+        kernels = native.kernels_for("native")
         plan = formula.evaluation_plan()
         for batch in (1, 63, 64, 65, 128):
             matrix = _random_matrix(batch, batch, 3)
@@ -141,7 +141,7 @@ class TestBackendDispatch:
         monkeypatch.setenv(BACKEND_ENV_VAR, "native")
         formula = CNF([[1, 2], [-1, 2]], num_variables=2)
         matrix = _random_matrix(3, 17, 2)
-        with native.use_kernel(tier):
+        with native.use_kernel("native"):
             np.testing.assert_array_equal(
                 formula.evaluate_batch(matrix),  # default backend <- env
                 formula.evaluate_batch(matrix, backend="reference"),
@@ -150,8 +150,7 @@ class TestBackendDispatch:
     def test_native_backend_without_tiers_fails_loudly(self, monkeypatch):
         from repro.xp.backend import BackendUnavailableError
 
-        for name in native.TIERS:
-            monkeypatch.setitem(native._TIER_STATE, name, (None, f"{name} off"))
+        monkeypatch.setattr(native, "_PROBE", (None, "cext off"))
         formula = CNF([[1]], num_variables=1)
         with pytest.raises(BackendUnavailableError):
             formula.evaluate_batch(np.zeros((2, 1), dtype=bool), backend="native")

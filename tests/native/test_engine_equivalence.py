@@ -34,7 +34,7 @@ class TestExecutorEquivalence:
         probabilities = np.random.default_rng(seed).random((16, program.input_width))
         with native.use_kernel("python"):
             reference, _ = forward(program, probabilities)
-        with native.use_kernel(tier):
+        with native.use_kernel("native"):
             outputs, cache = forward(program, probabilities)
         assert cache.__class__.__name__ == "NativeForwardCache"
         np.testing.assert_array_equal(outputs, reference)
@@ -47,7 +47,7 @@ class TestExecutorEquivalence:
         with native.use_kernel("python"):
             _, cache = forward(program, probabilities)
             reference = backward(program, cache, seed_grad)
-        with native.use_kernel(tier):
+        with native.use_kernel("native"):
             _, cache = forward(program, probabilities)
             grads = backward(program, cache, seed_grad)
         np.testing.assert_allclose(grads, reference, rtol=0.0, atol=GRAD_TOLERANCE)
@@ -57,7 +57,7 @@ class TestExecutorEquivalence:
         matrix = np.random.default_rng(seed).random((33, program.input_width)) < 0.5
         with native.use_kernel("python"):
             reference = execute_bool(program, matrix)
-        with native.use_kernel(tier):
+        with native.use_kernel("native"):
             values = execute_bool(program, matrix)
         for net in circuit.outputs:
             np.testing.assert_array_equal(values[net], reference[net])
@@ -71,7 +71,7 @@ class TestExecutorEquivalence:
         }
         with native.use_kernel("python"):
             reference = execute_packed(program, dict(packed_inputs))
-        with native.use_kernel(tier):
+        with native.use_kernel("native"):
             values = execute_packed(program, dict(packed_inputs))
         for net in circuit.outputs:
             np.testing.assert_array_equal(values[net], reference[net])
@@ -87,7 +87,7 @@ class TestFloat32Policy:
         probs32 = probabilities.astype(np.float32)
         with native.use_kernel("python"):
             reference, _ = forward(program, probs32, backend)
-        with native.use_kernel(tier):
+        with native.use_kernel("native"):
             outputs, _ = forward(program, probs32, backend)
         np.testing.assert_array_equal(outputs, reference)
 
@@ -103,7 +103,7 @@ class TestEndToEndSampling:
                 return sample_cnf(fig1_formula, num_solutions=40, config=config)
 
         reference = run("python")
-        candidate = run(tier)
+        candidate = run("native")
         ref_matrix = reference.sample.solution_matrix()
         matrix = candidate.sample.solution_matrix()
         assert matrix.tobytes() == ref_matrix.tobytes()
@@ -113,7 +113,7 @@ class TestEndToEndSampling:
         )
 
     def test_config_kernel_field_reaches_the_sampler(self, tier, fig1_formula):
-        config = SamplerConfig(batch_size=32, seed=3, max_rounds=1, kernel=tier)
+        config = SamplerConfig(batch_size=32, seed=3, max_rounds=1, kernel="native")
         result = sample_cnf(fig1_formula, num_solutions=10, config=config)
         reference = sample_cnf(
             fig1_formula,

@@ -17,9 +17,10 @@ class TestModeResolution:
         assert native.resolve_mode("off") == "python"
         assert native.kernels_for("off") is None
 
-    def test_unknown_mode_rejected(self):
+    @pytest.mark.parametrize("mode", ["vulkan", "cext", "numba"])
+    def test_unknown_mode_rejected(self, mode):
         with pytest.raises(ValueError, match="unknown native kernel mode"):
-            native.resolve_mode("vulkan")
+            native.resolve_mode(mode)
 
     def test_env_var_sets_the_default(self, monkeypatch):
         monkeypatch.setenv(native.NATIVE_ENV_VAR, "off")
@@ -55,9 +56,8 @@ class TestModeResolution:
 class TestUnavailableTiers:
     @pytest.fixture
     def no_tiers(self, monkeypatch):
-        """Force every tier probe to report unavailable."""
-        for name in native.TIERS:
-            monkeypatch.setitem(native._TIER_STATE, name, (None, f"{name} forced off"))
+        """Force the C tier probe to report unavailable."""
+        monkeypatch.setattr(native, "_PROBE", (None, "cext forced off"))
 
     def test_auto_degrades_silently(self, no_tiers):
         assert native.kernels_for("auto") is None
@@ -71,7 +71,7 @@ class TestUnavailableTiers:
 
     def test_specific_tier_raises_its_own_error(self, no_tiers):
         with pytest.raises(BackendUnavailableError, match="cext forced off"):
-            native.kernels_for("cext")
+            native.kernels_for("native")
 
 
 class TestAvailableTiers:
