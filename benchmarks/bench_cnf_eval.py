@@ -21,6 +21,7 @@ import pytest
 
 from repro.obs.bench import time_passes
 from benchmarks.conftest import cnf_bench_batch, cnf_eval_min_speedup
+from repro import native
 from repro.core.solutions import SolutionSet
 from repro.core.transform import transform_cnf
 
@@ -82,7 +83,10 @@ def test_cnf_kernel_vs_reference(benchmark, largest_instance):
         _reference_add_batch(set(), [], candidates, all_rows)
 
     def compiled_step():
-        valid = formula.evaluate_batch(candidates, backend="compiled")
+        # "compiled" takes the C kernel whenever the native mode allows;
+        # this record tracks the NumPy kernel, so pin native kernels off.
+        with native.use_kernel("python"):
+            valid = formula.evaluate_batch(candidates, backend="compiled")
         SolutionSet(formula.num_variables).add_batch(candidates)
         return valid
 

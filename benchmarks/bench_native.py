@@ -1,17 +1,26 @@
-"""Native kernels vs the NumPy paths on the two measured hot-loop dominators.
+"""Native kernels vs the NumPy paths on the measured hot-loop dominators.
 
 The ``repro.native`` C tier compiles exactly the loops profiling shows
 dominate wall-clock once everything NumPy can vectorise is vectorised: the
-CNF kernel's clause reduction and the engine executor's per-block slot loops
-(forward + backward).  This benchmark times each dominator on the headline
-instance with the native kernels engaged and with kernels forced off
-(``use_kernel("python")``), prints the two speedups, and rewrites
-``BENCH_native.json`` with the record — committing the file each PR
-accumulates the kernels' perf trajectory in version history.
+CNF kernel's clause reduction and the engine executor's per-slot op loops.
+This benchmark times three legs on the headline instance with the native
+kernels engaged and with kernels forced off (``use_kernel("python")``):
 
-All timed loops run *warm*: the one-time C build cost is paid by the
-session-scoped ``warm_native_kernels`` fixture (see ``conftest.py``) and
-reported separately in the record as ``compile_seconds``.
+* ``cnf_eval`` — ``evaluate_batch`` + ``unsatisfied_clause_counts``;
+* ``engine_fwd_bwd`` — the slot-matrix ``forward`` + ``backward``;
+* ``engine_gd_step`` — one GD iteration's circuit work as the training loop
+  runs it (:class:`~repro.engine.executor.GradientStep`): the fused
+  ``repro_engine_step`` kernel against NumPy forward + backward.
+
+It prints the speedups and rewrites ``BENCH_native.json`` with the record —
+committing the file each PR accumulates the kernels' perf trajectory in
+version history.
+
+All timed loops run *warm*: the session-scoped ``warm_native_kernels``
+fixture (see ``conftest.py``) brings the library up first.  The record's
+``compile_seconds`` is a real build: the median of three fresh processes
+each building the library into an empty temporary
+``REPRO_NATIVE_CACHE_DIR``.
 
 The gate asserts the best dominator speedup against
 ``REPRO_BENCH_NATIVE_MIN_SPEEDUP`` (default 2.0; CI uses a lower floor for
@@ -22,6 +31,11 @@ loudly instead of silently passing.
 from __future__ import annotations
 
 import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -33,24 +47,47 @@ from benchmarks.conftest import engine_bench_batch, native_min_speedup
 from repro import native
 from repro.core.model import ProbabilisticCircuitModel
 from repro.core.transform import transform_cnf
+from repro.engine.executor import GradientStep
 from repro.engine.executor import backward as engine_backward
 from repro.engine.executor import forward as engine_forward
+from repro.native.cext import CACHE_DIR_ENV_VAR
 from repro.instances.registry import get_instance
 
 #: Where the native-vs-NumPy comparison records its trajectory.
 BENCH_NATIVE_JSON = Path(__file__).resolve().parent.parent / "BENCH_native.json"
 
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+_BUILD_SCRIPT = (
+    "from repro.native import cext; cext.load_library(); print(cext.compile_seconds())"
+)
+
+
+def fresh_build_seconds(builds: int = 3) -> float:
+    """Median seconds of ``builds`` library builds, each into an empty cache dir."""
+    seconds = []
+    for _ in range(builds):
+        with tempfile.TemporaryDirectory() as cache_dir:
+            env = dict(os.environ, PYTHONPATH=str(_SRC))
+            env[CACHE_DIR_ENV_VAR] = cache_dir
+            result = subprocess.run(
+                [sys.executable, "-c", _BUILD_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            seconds.append(float(result.stdout.strip().splitlines()[-1]))
+    return statistics.median(seconds)
+
 
 @pytest.mark.benchmark(group="native")
 def test_native_kernels_vs_numpy(benchmark):
-    """Native vs NumPy on CNF eval and engine fwd+bwd."""
+    """Native vs NumPy on CNF eval, engine fwd+bwd and the fused GD step."""
     if not native.native_available():
         pytest.skip(
             "the native C tier cannot be brought up on this host "
             "(no system C compiler) — native speedup gate skipped"
         )
     tier = native.active_tier("auto")
-    compile_seconds = native.compile_seconds()
+    compile_seconds = fresh_build_seconds()
     entry = get_instance(HEADLINE_INSTANCE)
     formula = entry.build_cnf()
     batch = engine_bench_batch()
@@ -66,8 +103,10 @@ def test_native_kernels_vs_numpy(benchmark):
     formula.evaluation_plan()  # compile outside every timed region
 
     def cnf_numpy():
-        formula.evaluate_batch(candidates, backend="compiled")
-        formula.unsatisfied_clause_counts(candidates, backend="compiled")
+        # "compiled" takes the C kernel whenever the mode allows: pin it off.
+        with native.use_kernel("python"):
+            formula.evaluate_batch(candidates, backend="compiled")
+            formula.unsatisfied_clause_counts(candidates, backend="compiled")
 
     def cnf_native():
         formula.evaluate_batch(candidates, backend="native")
@@ -97,17 +136,39 @@ def test_native_kernels_vs_numpy(benchmark):
         with native.use_kernel("native"):
             engine_step()
 
+    # -- dominator 3: one GD iteration's circuit work, fused vs NumPy --------------------
+    targets = np.ones((batch, model.num_outputs))
+    with native.use_kernel("native"):
+        step_native = GradientStep(program, batch)
+    with native.use_kernel("python"):
+        step_numpy = GradientStep(program, batch)
+        numpy_difference, numpy_grads = step_numpy(probabilities, targets)
+    fused_difference, fused_grads = step_native(probabilities, targets)
+    np.testing.assert_array_equal(fused_difference, numpy_difference)
+    np.testing.assert_allclose(fused_grads, numpy_grads, rtol=0.0, atol=1e-10)
+
+    def gd_step_numpy():
+        with native.use_kernel("python"):
+            step_numpy(probabilities, targets)
+
+    def gd_step_native():
+        step_native(probabilities, targets)
+
     passes, repeats = 5, 3
     cnf_numpy_seconds = time_passes(cnf_numpy, repeats, passes, reduce="best")
     cnf_native_seconds = time_passes(cnf_native, repeats, passes, reduce="best")
     engine_numpy_seconds = time_passes(engine_numpy, repeats, passes, reduce="best")
-    engine_native_seconds = benchmark.pedantic(
-        lambda: time_passes(engine_native, repeats, passes, reduce="best"), rounds=1, iterations=1
+    engine_native_seconds = time_passes(engine_native, repeats, passes, reduce="best")
+    step_numpy_seconds = time_passes(gd_step_numpy, repeats, passes, reduce="best")
+    step_native_seconds = benchmark.pedantic(
+        lambda: time_passes(gd_step_native, repeats, passes, reduce="best"),
+        rounds=1, iterations=1,
     )
 
     speedups = {
         "cnf_eval": cnf_numpy_seconds / cnf_native_seconds,
         "engine_fwd_bwd": engine_numpy_seconds / engine_native_seconds,
+        "engine_gd_step": step_numpy_seconds / step_native_seconds,
     }
     best_dominator = max(speedups, key=speedups.get)
     record = {
@@ -121,6 +182,8 @@ def test_native_kernels_vs_numpy(benchmark):
         "cnf_native_seconds": cnf_native_seconds,
         "engine_numpy_seconds": engine_numpy_seconds,
         "engine_native_seconds": engine_native_seconds,
+        "gd_step_numpy_seconds": step_numpy_seconds,
+        "gd_step_native_seconds": step_native_seconds,
         "speedups": speedups,
         "best_dominator": best_dominator,
         "best_speedup": speedups[best_dominator],
@@ -130,8 +193,9 @@ def test_native_kernels_vs_numpy(benchmark):
     print()
     print(
         f"{entry.name} [{tier}]: cnf {speedups['cnf_eval']:.1f}x, "
-        f"engine {speedups['engine_fwd_bwd']:.1f}x over NumPy "
-        f"(compile {compile_seconds:.2f}s excluded from all timed loops)"
+        f"engine fwd+bwd {speedups['engine_fwd_bwd']:.1f}x, "
+        f"gd step {speedups['engine_gd_step']:.1f}x over NumPy "
+        f"(fresh build {compile_seconds:.2f}s, excluded from all timed loops)"
     )
     minimum = native_min_speedup()
     if minimum <= 0:

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.circuit.netlist import Circuit
 from repro.engine.compiler import compiled_program_for
-from repro.engine.executor import execute_bool, execute_packed
+from repro.engine.executor import execute_bool_slots, execute_packed
 from repro.xp import backend_for
 
 
@@ -58,8 +58,8 @@ def simulate(
     if not wanted:
         return {}
     program = compiled_program_for(circuit, wanted, order)
-    values = execute_bool(program, input_matrix, xpb)
-    return {name: values[name] for name in wanted}
+    values = execute_bool_slots(program, input_matrix, xpb)
+    return {name: values[program.net_slot[name]] for name in wanted}
 
 
 def simulate_packed(

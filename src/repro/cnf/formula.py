@@ -11,9 +11,9 @@ from repro.cnf.kernel import (
     CNFEvalPlan,
     compile_evaluation_plan,
     extend_evaluation_plan,
+    native_kernels_for,
     register_plan_owner,
     resolve_backend,
-    resolve_native_kernels,
 )
 from repro.xp import backend_for, to_numpy
 
@@ -252,7 +252,9 @@ class CNF:
         the clause-loop ``"reference"``); ``None`` uses
         :func:`repro.cnf.kernel.default_backend`.  All backends are
         bitwise-identical.  Like ``"reference"``, the ``"native"`` kernel runs
-        host-side and returns a NumPy result.
+        host-side and returns a NumPy result; ``"compiled"`` takes it too for
+        host matrices whenever :mod:`repro.native`'s mode allows
+        (:func:`repro.cnf.kernel.native_kernels_for`).
         """
         matrix, xpb = self._check_assignment_matrix(assignments)
         backend = resolve_backend(backend)
@@ -260,9 +262,9 @@ class CNF:
             # The clause loop is a host-side reference implementation.
             return self._evaluate_batch_reference(np.asarray(to_numpy(matrix)))
         plan = self.evaluation_plan()
-        if backend == "native":
-            kernels = resolve_native_kernels()
-            return kernels.cnf_evaluate(plan, np.asarray(to_numpy(matrix)))
+        kernels = native_kernels_for(backend, xpb)
+        if kernels is not None:
+            return plan.evaluate_native(np.asarray(to_numpy(matrix)), kernels)
         if backend == "packed":
             return plan.evaluate_packed(matrix, xpb)
         return plan.evaluate(matrix, xpb)
@@ -282,8 +284,8 @@ class CNF:
             return self._unsatisfied_clause_counts_reference(
                 np.asarray(to_numpy(matrix))
             )
-        if backend == "native":
-            kernels = resolve_native_kernels()
+        kernels = native_kernels_for(backend, xpb)
+        if kernels is not None:
             return kernels.cnf_unsatisfied_counts(
                 self.evaluation_plan(), np.asarray(to_numpy(matrix))
             )

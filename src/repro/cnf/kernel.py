@@ -128,6 +128,24 @@ def resolve_native_kernels():
     return native.kernels_for("native")
 
 
+def native_kernels_for(backend: str, xpb: ArrayBackend):
+    """The native kernel set an evaluation with ``backend`` on ``xpb`` takes, or ``None``.
+
+    ``"native"`` requires the C tier (:func:`resolve_native_kernels`).  The
+    default ``"compiled"`` takes it on host NumPy whenever
+    :mod:`repro.native`'s mode allows — the rule the engine executor applies:
+    silently under ``auto``, loudly under ``native``, never under ``python``.
+    ``"packed"`` and ``"reference"`` never do.
+    """
+    if backend == "native":
+        return resolve_native_kernels()
+    if backend == "compiled" and xpb.is_numpy:
+        from repro import native
+
+        return native.kernels_for(None)
+    return None
+
+
 @dataclass(frozen=True)
 class CNFEvalPlan:
     """A compiled, formula-specific batch-evaluation plan (immutable)."""
@@ -294,6 +312,11 @@ class CNFEvalPlan:
         )
         formula_words = xpb.bitwise_and_reduce(clause_words, axis=0)
         return xpb.astype(xpb.unpackbits(formula_words, count=batch), xpb.bool_dtype)
+
+    def evaluate_native(self, assignments: np.ndarray, kernels):
+        """Per-row satisfaction of a host matrix through the C kernel."""
+        _CNF_EVALUATIONS.inc(1.0, "native")
+        return kernels.cnf_evaluate(self, assignments)
 
     def clause_satisfaction(self, assignments, xpb: Optional[ArrayBackend] = None):
         """Full ``(batch, num_clauses)`` satisfaction matrix, empty clauses False."""

@@ -69,6 +69,8 @@ from repro.core.extraction import (
     variable_name,
 )
 from repro.core.signatures import GateMatch, match_gate_signature
+from repro.engine.compiler import compiled_program_for
+from repro.engine.executor import execute_bool_slots
 from repro.circuit.gates import Gate, GateType
 from repro import obs
 
@@ -303,14 +305,14 @@ class TransformResult:
         if input_columns:
             full[:, input_columns] = input_matrix
         if defined_names:
-            values = simulate(
-                self.circuit,
-                input_matrix,
-                input_order=self.primary_inputs,
-                nets=defined_names,
+            # The same cone ``simulate`` would compile (so store-adopted
+            # programs hit), read straight from its slot matrix: the defined
+            # nets are the program's outputs, rows ``output_slots``.
+            program = compiled_program_for(
+                self.circuit, defined_names, self.primary_inputs
             )
-            stacked = xpb.stack([values[name] for name in defined_names], axis=1)
-            full[:, defined_columns] = stacked
+            values = execute_bool_slots(program, input_matrix, xpb)
+            full[:, defined_columns] = values[program.output_slots].T
         if free_columns:
             if free_values is None:
                 free_values = xpb.zeros(

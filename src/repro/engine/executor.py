@@ -83,26 +83,32 @@ class ForwardCache:
         self.operands = operands
         self.xpb = xpb
 
+    @property
+    def batch(self) -> int:
+        return self.values.shape[1]
+
 
 class NativeForwardCache:
     """Forward state of a native-kernel execution (no per-block gathers).
 
     The native forward runs in place over the slot matrix, so the reverse
     pass needs only the matrix itself plus the kernel set that produced it —
-    :func:`backward` dispatches on the cache type.
+    :func:`backward` dispatches on the cache type.  The matrix is padded to
+    whole column tiles; ``batch`` is the number of real columns.
     """
 
-    __slots__ = ("values", "kernels", "xpb")
+    __slots__ = ("values", "batch", "kernels", "xpb")
 
-    def __init__(self, values, kernels, xpb: ArrayBackend) -> None:
+    def __init__(self, values, batch: int, kernels, xpb: ArrayBackend) -> None:
         self.values = values
+        self.batch = batch
         self.kernels = kernels
         self.xpb = xpb
 
 
-def _base_values(program: CompiledProgram, batch: int, xpb, dtype, zero, one):
-    """Allocate the slot matrix and fill the base (input/constant) rows."""
-    values = xpb.empty((program.num_slots, batch), dtype=dtype)
+def _base_values(program: CompiledProgram, columns: int, xpb, dtype, zero, one):
+    """Allocate the slot matrix and fill the constant rows."""
+    values = xpb.empty((program.num_slots, columns), dtype=dtype)
     if program.const0_slot >= 0:
         values[program.const0_slot] = zero
     if program.const1_slot >= 0:
@@ -129,16 +135,23 @@ def forward(
             f"got {tuple(probabilities.shape)}"
         )
     batch = probabilities.shape[0]
+    kernels = _native_kernels(xpb, float_mode=True)
+    if kernels is not None:
+        # The C kernels want a wider slot matrix (whole column tiles); the
+        # spare columns start at zero and are never read back.  Elementwise
+        # per op, so bitwise identical to the fused block path below.
+        values = _base_values(
+            program, kernels.float_columns(batch), xpb, xpb.float_dtype, 0.0, 1.0
+        )
+        if program.num_inputs:
+            values[: program.num_inputs, :batch] = probabilities.T[program.input_columns]
+            values[: program.num_inputs, batch:] = 0.0
+        kernels.engine_forward(program, values)
+        outputs = xpb.copy(values[program.output_slots, :batch].T)
+        return outputs, NativeForwardCache(values, batch, kernels, xpb)
     values = _base_values(program, batch, xpb, xpb.float_dtype, 0.0, 1.0)
     if program.num_inputs:
         values[: program.num_inputs] = probabilities.T[program.input_columns]
-    kernels = _native_kernels(xpb, float_mode=True)
-    if kernels is not None:
-        # One C/jitted pass over the flat op stream; elementwise per op, so
-        # bitwise identical to the fused block path below.
-        kernels.engine_forward(program, values)
-        outputs = xpb.copy(values[program.output_slots].T)
-        return outputs, NativeForwardCache(values, kernels, xpb)
     operands: List[Optional[Tuple]] = []
     for block in program.blocks:
         out = values[block.out_start : block.out_stop]
@@ -172,23 +185,24 @@ def backward(
     xpb = cache.xpb
     output_grads = xpb.asarray(output_grads, dtype=xpb.float_dtype)
     values = cache.values
-    batch = values.shape[1]
+    batch = cache.batch
     if tuple(output_grads.shape) != (batch, len(program.output_nets)):
         raise ValueError(
             f"expected output grads of shape ({batch}, {len(program.output_nets)}), "
             f"got {tuple(output_grads.shape)}"
         )
     grads = xpb.zeros_like(values)
-    program.output_plan.scatter(grads, output_grads.T, xpb)
     if isinstance(cache, NativeForwardCache):
         # Sequential per-op reverse accumulation; matches the block path
         # within the engine's 1e-10 gradient contract (NumPy's scatter
         # reductions use platform-dependent accumulation orders).
+        program.output_plan.scatter(grads[:, :batch], output_grads.T, xpb)
         cache.kernels.engine_backward(program, values, grads)
         input_grads = xpb.zeros((batch, program.input_width), dtype=xpb.float_dtype)
         if program.num_inputs:
-            input_grads[:, program.input_columns] = grads[: program.num_inputs].T
+            input_grads[:, program.input_columns] = grads[: program.num_inputs, :batch].T
         return input_grads
+    program.output_plan.scatter(grads, output_grads.T, xpb)
     for index in range(len(program.blocks) - 1, -1, -1):
         block = program.blocks[index]
         g = grads[block.out_start : block.out_stop]
@@ -207,6 +221,40 @@ def backward(
     return input_grads
 
 
+class GradientStep:
+    """One gradient-descent iteration's circuit work for a fixed chunk of rows.
+
+    ``step(probabilities, targets)`` returns ``(Y - T, dL/dP)`` for the loss
+    ``sum((Y - T)^2)``: the forward pass, the output gradient ``(Y - T) +
+    (Y - T)`` and the reverse pass.  Where :func:`forward` would take the
+    native C tier (host NumPy, mode allowing), this is one call of the fused
+    ``repro_engine_step`` kernel over per-chunk scratch, bitwise equal to the
+    native :func:`forward` + :func:`backward`; everywhere else it is exactly
+    those two calls.  The returned gradient matrix may be overwritten by the
+    next call.
+    """
+
+    def __init__(
+        self, program: CompiledProgram, batch: int, xpb: Optional[ArrayBackend] = None
+    ) -> None:
+        self.program = program
+        self.xpb = xpb or active_backend()
+        kernels = _native_kernels(self.xpb, float_mode=True)
+        self._fused = (
+            None
+            if kernels is None
+            else kernels.engine_step(program, batch, self.xpb.float_dtype)
+        )
+
+    def __call__(self, probabilities, targets) -> Tuple[object, object]:
+        if self._fused is not None:
+            outputs, input_grads = self._fused.run(probabilities, targets)
+            return outputs - targets, input_grads
+        outputs, cache = forward(self.program, probabilities, self.xpb)
+        difference = outputs - targets
+        return difference, backward(self.program, cache, difference + difference)
+
+
 def execute_bool(
     program: CompiledProgram,
     input_matrix,
@@ -219,6 +267,20 @@ def execute_bool(
     is passed, execution follows the input's residency
     (:func:`repro.xp.backend_for`): host matrices yield host vectors.
     """
+    values = execute_bool_slots(program, input_matrix, xpb)
+    return {name: values[slot] for name, slot in program.net_slot.items()}
+
+
+def execute_bool_slots(
+    program: CompiledProgram,
+    input_matrix,
+    xpb: Optional[ArrayBackend] = None,
+):
+    """Boolean execution mode returning the ``(num_slots, batch)`` slot matrix.
+
+    Row ``program.net_slot[name]`` holds net ``name``; the requested outputs
+    are the rows ``program.output_slots``, in request order.
+    """
     xpb = xpb or backend_for(input_matrix)
     input_matrix = xpb.asarray(input_matrix, dtype=xpb.bool_dtype)
     if input_matrix.ndim != 2 or input_matrix.shape[1] != program.input_width:
@@ -227,13 +289,21 @@ def execute_bool(
             f"got {tuple(input_matrix.shape)}"
         )
     batch = input_matrix.shape[0]
+    kernels = _native_kernels(xpb)
+    if kernels is not None:
+        # The C kernel wants a wider slot matrix (whole 64-bit words); hand
+        # back the first ``batch`` columns.
+        values = _base_values(
+            program, kernels.bool_columns(batch), xpb, xpb.bool_dtype, False, True
+        )
+        if program.num_inputs:
+            values[: program.num_inputs, :batch] = input_matrix.T[program.input_columns]
+            values[: program.num_inputs, batch:] = False
+        kernels.engine_execute_bool(program, values)
+        return values[:, :batch]
     values = _base_values(program, batch, xpb, xpb.bool_dtype, False, True)
     if program.num_inputs:
         values[: program.num_inputs] = input_matrix.T[program.input_columns]
-    kernels = _native_kernels(xpb)
-    if kernels is not None:
-        kernels.engine_execute_bool(program, values)
-        return {name: values[slot] for name, slot in program.net_slot.items()}
     for block in program.blocks:
         out = values[block.out_start : block.out_stop]
         a = values[block.a_slots]
@@ -244,7 +314,7 @@ def execute_bool(
             xpb.logical_or(a, values[block.b_slots], out=out)
         else:  # OP_NOT
             xpb.logical_not(a, out=out)
-    return {name: values[slot] for name, slot in program.net_slot.items()}
+    return values
 
 
 def execute_packed(

@@ -1,8 +1,11 @@
 """The engine-side gradient-descent loop (Eqs. 6--10 without an autodiff tape).
 
 One :func:`learn_batch` call replaces the interpreter's whole per-round
-training: sigmoid embedding, compiled forward, closed-form L2-loss gradient,
-compiled backward, sigmoid adjoint and optimizer step — five fused NumPy
+training.  Each iteration is the sigmoid embedding, one
+:class:`~repro.engine.executor.GradientStep` call — compiled forward,
+closed-form L2-loss gradient and compiled backward; on host NumPy with the
+native C tier up, a single fused kernel call over per-chunk scratch — then
+the loss, the sigmoid adjoint and the optimizer step: a handful of array
 statements per iteration instead of thousands of per-gate tape nodes.
 
 Every arithmetic step reproduces the legacy interpreter bit for bit:
@@ -31,7 +34,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from repro.engine.executor import backward, forward
+from repro.engine.executor import GradientStep
 from repro.engine.program import CompiledProgram
 from repro.tensor.optim import make_optimizer
 from repro.tensor.tensor import Tensor
@@ -80,6 +83,7 @@ def learn_chunk(
     parameter = Tensor(initial_soft_inputs, requires_grad=True)
     targets = xpb.asarray(targets, dtype=xpb.float_dtype)
     optimizer = make_optimizer([parameter], config.optimizer, config.learning_rate)
+    step = GradientStep(program, parameter.data.shape[0], xpb)
     loss_history: List[float] = []
     halted = False
     for _ in range(config.iterations):
@@ -90,11 +94,8 @@ def learn_chunk(
             halted = True
             break
         probabilities = sigmoid_embedding(parameter.data, xpb)
-        outputs, cache = forward(program, probabilities, xpb)
-        difference = outputs - targets
+        difference, input_grads = step(probabilities, targets)
         loss = float((difference * difference).sum())
-        output_grads = difference + difference
-        input_grads = backward(program, cache, output_grads)
         parameter.grad = input_grads * probabilities * (1.0 - probabilities)
         optimizer.step()
         loss_history.append(loss)

@@ -21,12 +21,22 @@ Kernel inventory (all operate on caller-allocated C-contiguous buffers):
   64-row words once, then every clause reduces word-wise (64 assignments per
   op) with an early exit once a word has no satisfying row left.
 * ``repro_engine_forward_/backward_f64/f32`` — the levelized program as one
-  C loop over flat per-op arrays; forward is elementwise and therefore
-  bitwise identical to the NumPy block path, backward accumulates operand
-  gradients sequentially per op (covered by the engine's 1e-10 gradient
-  contract — NumPy's ``reduceat`` uses platform-dependent reduction trees).
-* ``repro_engine_execute_bool`` / ``_packed`` — the boolean and bit-parallel
-  execution modes of the same program.
+  C loop over flat per-op arrays, over a ``(slots, columns)`` matrix padded
+  to whole ``ENGINE_TILE``-column tiles; forward is elementwise and
+  therefore bitwise identical to the NumPy block path, backward accumulates
+  operand gradients sequentially per op (covered by the engine's 1e-10
+  gradient contract — NumPy's ``reduceat`` uses platform-dependent
+  reduction trees).
+* ``repro_engine_step_f64/f32`` — one gradient-descent iteration's circuit
+  work, fused: per 32-column tile of the batch it loads the input rows, runs
+  the forward stream, writes the outputs, seeds the output grads with
+  ``(y - t) + (y - t)``, runs the reverse stream and writes the
+  input-gradient rows.  A tile's values and grads stay cache-resident, and
+  no ``(slots, batch)`` matrix is allocated.  It shares its op loops with
+  the two kernels above and is bitwise equal to them.
+* ``repro_engine_execute_bits`` — the boolean and bit-parallel execution
+  modes of the same program, one AND / OR / XOR-with-mask loop over 64-bit
+  words (eight 0/1 bytes, or 64 packed samples, per word).
 
 Only kernels a benchmark shows beating NumPy live here
 (``benchmarks/bench_native.py``).
@@ -37,6 +47,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import subprocess
 import tempfile
 import time
@@ -65,8 +76,9 @@ C_SOURCE = r"""
    Branchless register accumulation — random assignments mispredict a
    per-bit test ~50% of the time, which would make packing cost more
    than the clause reduction it feeds. */
-static void pack_columns(const uint8_t *assign, int64_t batch, int64_t nvars,
-                         uint64_t *colwords, int64_t nwords)
+static __attribute__((noinline)) void
+pack_columns(const uint8_t *assign, int64_t batch, int64_t nvars,
+             uint64_t *colwords, int64_t nwords)
 {
     for (int64_t w = 0; w < nwords; ++w) {
         const int64_t base = w << 6;
@@ -140,111 +152,176 @@ void repro_cnf_unsat_counts(const uint8_t *assign, int64_t batch, int64_t nvars,
 
 /* ---------------- engine kernels (flat per-op straight-line program) ------------- */
 /* opcodes: 0 = MUL (a*b / &), 1 = ADD (a+b / |), 2 = NOT (1-a / ^ / ~).
-   values is the (num_slots, batch) C-contiguous slot matrix; the per-op slot
-   arrays index rows of it.  Operand rows always precede output rows, so the
-   single in-order pass reproduces the levelized block schedule exactly.      */
+   A slot matrix holds one row per slot and the per-op slot arrays index its
+   rows.  Operand rows always precede output rows, so one in-order pass
+   reproduces the levelized block schedule exactly, and an op never writes a
+   row it reads: the row loops below are restrict-qualified.
 
-#define ENGINE_FORWARD(NAME, T)                                                \
-void NAME(T *values, int64_t batch, int64_t nops, const uint8_t *opc,          \
-          const int32_t *a, const int32_t *b, const int32_t *o)                \
+   The float kernels run the op stream over column tiles ENGINE_TILE wide.
+   Every element meets the same operations in the same order whatever the
+   tiling, so a tiled run is bitwise equal to an untiled one, while a tile's
+   rows stay cache-resident for the whole stream.  Float slot matrices are
+   padded to whole tiles: their column count is a multiple of ENGINE_TILE. */
+
+#define ENGINE_TILE 32
+/* Vector loops unrolled 4x, not completely: as fast here, and the library
+   builds ~0.1 s faster. */
+#define UNROLL4 _Pragma("GCC unroll 4")
+
+#define ENGINE_FLOAT_KERNELS(SUF, T)                                           \
+static inline void mul_##SUF(T *restrict out, const T *restrict x,             \
+                             const T *restrict y)                              \
+{ UNROLL4 for (int j = 0; j < ENGINE_TILE; ++j) out[j] = x[j] * y[j]; }        \
+static inline void add_##SUF(T *restrict out, const T *restrict x,             \
+                             const T *restrict y)                              \
+{ UNROLL4 for (int j = 0; j < ENGINE_TILE; ++j) out[j] = x[j] + y[j]; }        \
+static inline void not_##SUF(T *restrict out, const T *restrict x)             \
+{ UNROLL4 for (int j = 0; j < ENGINE_TILE; ++j) out[j] = (T)1 - x[j]; }        \
+static inline void acc_mul_##SUF(T *restrict dst, const T *restrict g,         \
+                                 const T *restrict v)                          \
+{ UNROLL4 for (int j = 0; j < ENGINE_TILE; ++j) dst[j] += g[j] * v[j]; }       \
+static inline void acc_##SUF(T *restrict dst, const T *restrict g)             \
+{ UNROLL4 for (int j = 0; j < ENGINE_TILE; ++j) dst[j] += g[j]; }              \
+static inline void dec_##SUF(T *restrict dst, const T *restrict g)             \
+{ UNROLL4 for (int j = 0; j < ENGINE_TILE; ++j) dst[j] -= g[j]; }              \
+                                                                               \
+/* Forward op stream over `tiles` adjacent tiles of rows `stride` apart:       \
+   each op runs over all of them before the next op starts. */                 \
+static __attribute__((noinline, noclone)) void engine_fwd_##SUF(               \
+    T *values, int64_t stride, int64_t tiles, int64_t nops,                    \
+    const uint8_t *opc, const int32_t *a, const int32_t *b, const int32_t *o)  \
 {                                                                              \
     for (int64_t i = 0; i < nops; ++i) {                                       \
-        T *out = values + (int64_t)o[i] * batch;                               \
-        const T *pa = values + (int64_t)a[i] * batch;                          \
-        if (opc[i] == 0) {                                                     \
-            const T *pb = values + (int64_t)b[i] * batch;                      \
-            for (int64_t j = 0; j < batch; ++j)                                \
-                out[j] = pa[j] * pb[j];                                        \
-        } else if (opc[i] == 1) {                                              \
-            const T *pb = values + (int64_t)b[i] * batch;                      \
-            for (int64_t j = 0; j < batch; ++j)                                \
-                out[j] = pa[j] + pb[j];                                        \
-        } else {                                                               \
-            for (int64_t j = 0; j < batch; ++j)                                \
-                out[j] = (T)1 - pa[j];                                         \
+        T *out = values + (int64_t)o[i] * stride;                              \
+        const T *pa = values + (int64_t)a[i] * stride;                         \
+        const T *pb = values + (int64_t)b[i] * stride;                         \
+        for (int64_t c = 0; c < tiles * ENGINE_TILE; c += ENGINE_TILE) {       \
+            if (opc[i] == 0)                                                   \
+                mul_##SUF(out + c, pa + c, pb + c);                            \
+            else if (opc[i] == 1)                                              \
+                add_##SUF(out + c, pa + c, pb + c);                            \
+            else                                                               \
+                not_##SUF(out + c, pa + c);                                    \
         }                                                                      \
     }                                                                          \
-}
-
-ENGINE_FORWARD(repro_engine_forward_f64, double)
-ENGINE_FORWARD(repro_engine_forward_f32, float)
-
-#define ENGINE_BACKWARD(NAME, T)                                               \
-void NAME(const T *values, T *grads, int64_t batch, int64_t nops,              \
-          const uint8_t *opc, const int32_t *a, const int32_t *b,              \
-          const int32_t *o)                                                    \
+}                                                                              \
+                                                                               \
+/* Reverse op stream over `tiles` adjacent tiles.  Within a tile an op's       \
+   two operand updates run one after the other, so with a == b each element    \
+   still sees += g*vb, then += g*va. */                                        \
+static __attribute__((noinline, noclone)) void engine_bwd_##SUF(               \
+    const T *values, T *grads, int64_t stride, int64_t tiles, int64_t nops,    \
+    const uint8_t *opc, const int32_t *a, const int32_t *b, const int32_t *o)  \
 {                                                                              \
+    const int64_t width = tiles * ENGINE_TILE;                                 \
     for (int64_t i = nops - 1; i >= 0; --i) {                                  \
-        const T *g = grads + (int64_t)o[i] * batch;                            \
-        T *ga = grads + (int64_t)a[i] * batch;                                 \
-        if (opc[i] == 0) {                                                     \
-            T *gb = grads + (int64_t)b[i] * batch;                             \
-            const T *va = values + (int64_t)a[i] * batch;                      \
-            const T *vb = values + (int64_t)b[i] * batch;                      \
-            for (int64_t j = 0; j < batch; ++j) {                              \
-                ga[j] += g[j] * vb[j];                                         \
-                gb[j] += g[j] * va[j];                                         \
+        const T *g = grads + (int64_t)o[i] * stride;                           \
+        T *ga = grads + (int64_t)a[i] * stride;                                \
+        T *gb = grads + (int64_t)b[i] * stride;                                \
+        const T *va = values + (int64_t)a[i] * stride;                         \
+        const T *vb = values + (int64_t)b[i] * stride;                         \
+        if (opc[i] == 0)                                                       \
+            for (int64_t c = 0; c < width; c += ENGINE_TILE) {                 \
+                acc_mul_##SUF(ga + c, g + c, vb + c);                          \
+                acc_mul_##SUF(gb + c, g + c, va + c);                          \
             }                                                                  \
-        } else if (opc[i] == 1) {                                              \
-            T *gb = grads + (int64_t)b[i] * batch;                             \
-            for (int64_t j = 0; j < batch; ++j) {                              \
-                ga[j] += g[j];                                                 \
-                gb[j] += g[j];                                                 \
+        else if (opc[i] == 1)                                                  \
+            for (int64_t c = 0; c < width; c += ENGINE_TILE) {                 \
+                acc_##SUF(ga + c, g + c);                                      \
+                acc_##SUF(gb + c, g + c);                                      \
             }                                                                  \
-        } else {                                                               \
-            for (int64_t j = 0; j < batch; ++j)                                \
-                ga[j] -= g[j];                                                 \
-        }                                                                      \
+        else                                                                   \
+            for (int64_t c = 0; c < width; c += ENGINE_TILE)                   \
+                dec_##SUF(ga + c, g + c);                                      \
+    }                                                                          \
+}                                                                              \
+                                                                               \
+void repro_engine_forward_##SUF(T *values, int64_t columns, int64_t nops,      \
+                                const uint8_t *opc, const int32_t *a,          \
+                                const int32_t *b, const int32_t *o)            \
+{                                                                              \
+    engine_fwd_##SUF(values, columns, columns / ENGINE_TILE, nops, opc, a, b, o); \
+}                                                                              \
+                                                                               \
+void repro_engine_backward_##SUF(const T *values, T *grads, int64_t columns,   \
+                                 int64_t nops, const uint8_t *opc,             \
+                                 const int32_t *a, const int32_t *b,           \
+                                 const int32_t *o)                             \
+{                                                                              \
+    engine_bwd_##SUF(values, grads, columns, columns / ENGINE_TILE, nops,      \
+                     opc, a, b, o);                                            \
+}                                                                              \
+                                                                               \
+/* One gradient-descent iteration's circuit work, a tile of batch rows at a    \
+   time: load the input rows, run the forward stream, write the outputs,       \
+   seed zeroed grads with (y - t) + (y - t) in output order, run the reverse   \
+   stream and write the input-gradient rows.  `values` and `grads` are         \
+   nslots x ENGINE_TILE scratch; `values` starts zeroed, so the spare          \
+   columns of a last, partial tile hold finite numbers that are never read     \
+   back.  Columns of `in_grads` outside the cone are never written.  This    \
+   per-tile glue builds at -O2: as fast here as at -O3, and quicker to build. */\
+__attribute__((optimize("O2"))) void repro_engine_step_##SUF(                  \
+    const T *probs, const T *targets, T *outputs, T *in_grads,                 \
+    int64_t batch, int64_t width, int64_t nout, const int32_t *in_cols,        \
+    int64_t nin, const int32_t *out_slots, int64_t const0, int64_t const1,     \
+    T *values, T *grads, int64_t nslots, int64_t nops, const uint8_t *opc,     \
+    const int32_t *a, const int32_t *b, const int32_t *o)                      \
+{                                                                              \
+    for (int j = 0; j < ENGINE_TILE; ++j) {                                    \
+        if (const0 >= 0) values[const0 * ENGINE_TILE + j] = (T)0;              \
+        if (const1 >= 0) values[const1 * ENGINE_TILE + j] = (T)1;              \
+    }                                                                          \
+    for (int64_t c = 0; c < batch; c += ENGINE_TILE) {                         \
+        const int64_t w = batch - c < ENGINE_TILE ? batch - c : ENGINE_TILE;   \
+        for (int64_t j = 0; j < w; ++j)                                        \
+            for (int64_t s = 0; s < nin; ++s)                                  \
+                values[s * ENGINE_TILE + j] = probs[(c + j) * width + in_cols[s]]; \
+        engine_fwd_##SUF(values, ENGINE_TILE, 1, nops, opc, a, b, o);          \
+        for (int64_t i = 0; i < nslots * ENGINE_TILE; ++i)                     \
+            grads[i] = (T)0;                                                   \
+        for (int64_t j = 0; j < w; ++j)                                        \
+            for (int64_t k = 0; k < nout; ++k) {                               \
+                const int64_t at = (int64_t)out_slots[k] * ENGINE_TILE + j;    \
+                const T d = values[at] - targets[(c + j) * nout + k];          \
+                outputs[(c + j) * nout + k] = values[at];                      \
+                grads[at] += d + d;                                            \
+            }                                                                  \
+        engine_bwd_##SUF(values, grads, ENGINE_TILE, 1, nops, opc, a, b, o);   \
+        for (int64_t j = 0; j < w; ++j)                                        \
+            for (int64_t s = 0; s < nin; ++s)                                  \
+                in_grads[(c + j) * width + in_cols[s]] = grads[s * ENGINE_TILE + j]; \
     }                                                                          \
 }
 
-ENGINE_BACKWARD(repro_engine_backward_f64, double)
-ENGINE_BACKWARD(repro_engine_backward_f32, float)
+ENGINE_FLOAT_KERNELS(f64, double)
+ENGINE_FLOAT_KERNELS(f32, float)
 
-void repro_engine_execute_bool(uint8_t *values, int64_t batch, int64_t nops,
-                               const uint8_t *opc, const int32_t *a,
-                               const int32_t *b, const int32_t *o)
+/* Boolean and bit-parallel modes: AND / OR / XOR-with-`ones` over the 64-bit
+   words of a (num_slots, words) matrix.  Bit-parallel rows hold 64 samples
+   per word (ones = all bits); boolean rows hold 8 one-byte 0/1 samples per
+   word (ones = 0x0101...01), so one loop serves both modes. */
+void repro_engine_execute_bits(uint64_t *values, int64_t words, uint64_t ones,
+                               int64_t nops, const uint8_t *opc,
+                               const int32_t *a, const int32_t *b,
+                               const int32_t *o)
 {
     for (int64_t i = 0; i < nops; ++i) {
-        uint8_t *out = values + (int64_t)o[i] * batch;
-        const uint8_t *pa = values + (int64_t)a[i] * batch;
-        if (opc[i] == 0) {
-            const uint8_t *pb = values + (int64_t)b[i] * batch;
-            for (int64_t j = 0; j < batch; ++j)
-                out[j] = pa[j] & pb[j];
-        } else if (opc[i] == 1) {
-            const uint8_t *pb = values + (int64_t)b[i] * batch;
-            for (int64_t j = 0; j < batch; ++j)
-                out[j] = pa[j] | pb[j];
-        } else {
-            for (int64_t j = 0; j < batch; ++j)
-                out[j] = pa[j] ^ 1;
-        }
-    }
-}
-
-void repro_engine_execute_packed(uint64_t *values, int64_t lanes, int64_t nops,
-                                 const uint8_t *opc, const int32_t *a,
-                                 const int32_t *b, const int32_t *o)
-{
-    for (int64_t i = 0; i < nops; ++i) {
-        uint64_t *out = values + (int64_t)o[i] * lanes;
-        const uint64_t *pa = values + (int64_t)a[i] * lanes;
-        if (opc[i] == 0) {
-            const uint64_t *pb = values + (int64_t)b[i] * lanes;
-            for (int64_t j = 0; j < lanes; ++j)
-                out[j] = pa[j] & pb[j];
-        } else if (opc[i] == 1) {
-            const uint64_t *pb = values + (int64_t)b[i] * lanes;
-            for (int64_t j = 0; j < lanes; ++j)
-                out[j] = pa[j] | pb[j];
-        } else {
-            for (int64_t j = 0; j < lanes; ++j)
-                out[j] = ~pa[j];
-        }
+        uint64_t *restrict out = values + (int64_t)o[i] * words;
+        const uint64_t *restrict pa = values + (int64_t)a[i] * words;
+        const uint64_t *restrict pb = values + (int64_t)b[i] * words;
+        if (opc[i] == 0)
+            for (int64_t j = 0; j < words; ++j) out[j] = pa[j] & pb[j];
+        else if (opc[i] == 1)
+            for (int64_t j = 0; j < words; ++j) out[j] = pa[j] | pb[j];
+        else
+            for (int64_t j = 0; j < words; ++j) out[j] = pa[j] ^ ones;
     }
 }
 """
+
+#: Column-tile width of the float engine kernels (``ENGINE_TILE`` in the
+#: source above): float slot matrices are padded to a multiple of it.
+ENGINE_TILE = int(re.search(r"#define ENGINE_TILE (\d+)", C_SOURCE).group(1))
 
 #: Wall-clock seconds spent compiling (building the shared library); read via
 #: :func:`repro.native.compile_seconds`.
@@ -309,12 +386,20 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         fn = getattr(lib, name)
         fn.argtypes = [p_t, p_t, i64, i64, p_u8, p_i32, p_i32, p_i32]
         fn.restype = None
-    lib.repro_engine_execute_bool.argtypes = [p_u8, i64, i64, p_u8, p_i32, p_i32, p_i32]
-    lib.repro_engine_execute_bool.restype = None
-    lib.repro_engine_execute_packed.argtypes = [
-        p_u64, i64, i64, p_u8, p_i32, p_i32, p_i32,
+    for name, p_t in (
+        ("repro_engine_step_f64", p_f64),
+        ("repro_engine_step_f32", p_f32),
+    ):
+        fn = getattr(lib, name)
+        fn.argtypes = [
+            p_t, p_t, p_t, p_t, i64, i64, i64, p_i32, i64, p_i32, i64, i64,
+            p_t, p_t, i64, i64, p_u8, p_i32, p_i32, p_i32,
+        ]
+        fn.restype = None
+    lib.repro_engine_execute_bits.argtypes = [
+        p_u64, i64, ctypes.c_uint64, i64, p_u8, p_i32, p_i32, p_i32,
     ]
-    lib.repro_engine_execute_packed.restype = None
+    lib.repro_engine_execute_bits.restype = None
     return lib
 
 

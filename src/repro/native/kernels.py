@@ -134,6 +134,12 @@ def engine_native_state(program) -> EngineNativeState:
     return state
 
 
+#: The NOT masks of the two bitwise modes: one 0/1 byte per sample, or one
+#: bit per sample.
+_BYTE_ONES = 0x0101010101010101
+_WORD_ONES = 0xFFFFFFFFFFFFFFFF
+
+
 def _as_bool_matrix(matrix) -> np.ndarray:
     """Host C-contiguous uint8 view of a boolean assignment matrix."""
     matrix = np.asarray(matrix)
@@ -173,6 +179,8 @@ class NativeKernels:
         from repro.native import cext
 
         self._lib = cext.load_library()
+        #: Column-tile width of the float engine kernels (``cext.ENGINE_TILE``).
+        self.tile = cext.ENGINE_TILE
 
     # -- CNF ----------------------------------------------------------------------------
     def _cnf_arguments(self, plan, matrix) -> tuple:
@@ -221,14 +229,35 @@ class NativeKernels:
             return getattr(self._lib, f"repro_engine_{direction}_f64"), ctypes.c_double
         return getattr(self._lib, f"repro_engine_{direction}_f32"), ctypes.c_float
 
+    def float_columns(self, batch: int) -> int:
+        """Columns of a float slot matrix for ``batch`` samples: whole tiles."""
+        return -(-batch // self.tile) * self.tile
+
+    @staticmethod
+    def bool_columns(batch: int) -> int:
+        """Columns of a bool slot matrix for ``batch`` samples: whole words."""
+        return -(-batch // 8) * 8
+
+    def _check_tiled(self, values) -> None:
+        if values.shape[1] % self.tile or not values.flags.c_contiguous:
+            raise ValueError(
+                f"float slot matrices must be C-contiguous with a multiple of "
+                f"{self.tile} columns, got shape {values.shape}"
+            )
+
     def engine_forward(self, program, values) -> None:
-        """Run the op stream in place over the ``(slots, batch)`` float matrix."""
+        """Run the op stream in place over a float slot matrix whose column
+        count is a multiple of :attr:`tile` (:meth:`float_columns`)."""
+        self._check_tiled(values)
         state = engine_native_state(program)
         fn, ctype = self._float_kernel(values, "forward")
         fn(_ptr(values, ctype), values.shape[1], *_op_pointers(state))
 
     def engine_backward(self, program, values, grads) -> None:
         """Accumulate operand gradients in place (reverse op order)."""
+        self._check_tiled(values)
+        if grads.shape != values.shape or not grads.flags.c_contiguous:
+            raise ValueError(f"grads must match the slot matrix {values.shape}")
         state = engine_native_state(program)
         fn, ctype = self._float_kernel(values, "backward")
         fn(
@@ -238,18 +267,97 @@ class NativeKernels:
             *_op_pointers(state),
         )
 
+    def engine_step(self, program, batch: int, dtype) -> "EngineStep":
+        """The fused GD-step kernel bound to ``program`` and a ``batch``-row chunk."""
+        return EngineStep(self._lib, self.tile, program, batch, np.dtype(dtype))
+
     def engine_execute_bool(self, program, values) -> None:
-        """Boolean mode in place over the ``(slots, batch)`` bool matrix."""
-        state = engine_native_state(program)
-        self._lib.repro_engine_execute_bool(
-            _ptr(values.view(np.uint8), ctypes.c_uint8),
-            values.shape[1],
-            *_op_pointers(state),
-        )
+        """Boolean mode in place over the ``(slots, columns)`` bool matrix.
+
+        ``columns`` must be a multiple of 8 (:meth:`bool_columns`): the
+        kernel runs over the rows as 64-bit words of eight 0/1 bytes.
+        """
+        if values.shape[1] % 8 or not values.flags.c_contiguous:
+            raise ValueError(
+                "bool slot matrices must be C-contiguous with a multiple of 8 "
+                f"columns, got shape {values.shape}"
+            )
+        self._execute_bits(program, values.view(np.uint64), _BYTE_ONES)
 
     def engine_execute_packed(self, program, values) -> None:
         """Bit-parallel mode in place over the ``(slots, lanes)`` uint64 matrix."""
+        self._execute_bits(program, values, _WORD_ONES)
+
+    def _execute_bits(self, program, words, ones: int) -> None:
         state = engine_native_state(program)
-        self._lib.repro_engine_execute_packed(
-            _ptr(values, ctypes.c_uint64), values.shape[1], *_op_pointers(state)
+        self._lib.repro_engine_execute_bits(
+            _ptr(words, ctypes.c_uint64), words.shape[1], ones, *_op_pointers(state)
         )
+
+
+class EngineStep:
+    """``repro_engine_step_*`` bound to one program and one chunk of rows.
+
+    Holds the chunk's scratch — the ``(slots, tile)`` value and gradient
+    tiles, the ``(batch, outputs)`` output matrix and the ``(batch,
+    input_width)`` input-gradient matrix — plus the kernel's constant
+    arguments, so an iteration allocates nothing.  :meth:`run` overwrites
+    the returned arrays on every call.
+    """
+
+    def __init__(self, lib, tile: int, program, batch: int, dtype: np.dtype) -> None:
+        if dtype == np.float64:
+            fn, ctype = lib.repro_engine_step_f64, ctypes.c_double
+        elif dtype == np.float32:
+            fn, ctype = lib.repro_engine_step_f32, ctypes.c_float
+        else:
+            raise ValueError(f"no native engine step for dtype {dtype}")
+        state = engine_native_state(program)
+        self._fn, self._ctype, self._dtype = fn, ctype, dtype
+        self.batch = int(batch)
+        self.width = program.input_width
+        self.num_outputs = len(program.output_nets)
+        self.outputs = np.empty((self.batch, self.num_outputs), dtype=dtype)
+        # Columns outside the cone keep their zeros: the kernel never writes them.
+        self.input_grads = np.zeros((self.batch, self.width), dtype=dtype)
+        self._values = np.zeros((program.num_slots, tile), dtype=dtype)
+        self._grads = np.empty_like(self._values)
+        self._input_columns = np.ascontiguousarray(program.input_columns, dtype=np.int32)
+        self._output_slots = np.ascontiguousarray(program.output_slots, dtype=np.int32)
+        self._pinned = state  # keeps the op arrays alive with the pointers below
+        self._tail = (
+            _ptr(self.outputs, ctype),
+            _ptr(self.input_grads, ctype),
+            self.batch,
+            self.width,
+            self.num_outputs,
+            _ptr(self._input_columns, ctypes.c_int32),
+            program.num_inputs,
+            _ptr(self._output_slots, ctypes.c_int32),
+            program.const0_slot,
+            program.const1_slot,
+            _ptr(self._values, ctype),
+            _ptr(self._grads, ctype),
+            program.num_slots,
+            *_op_pointers(state),
+        )
+
+    def _operand(self, array, columns: int, name: str) -> np.ndarray:
+        array = np.ascontiguousarray(array, dtype=self._dtype)
+        if array.shape != (self.batch, columns):
+            raise ValueError(
+                f"expected {name} of shape {(self.batch, columns)}, got {array.shape}"
+            )
+        return array
+
+    def run(self, probabilities, targets):
+        """``(outputs, input_grads)`` of one iteration for ``probabilities``.
+
+        ``outputs`` is ``Y = F(P)``; ``input_grads`` is ``dL/dP`` of the loss
+        ``sum((Y - T)^2)`` — bitwise what the slot-matrix ``forward`` and
+        ``backward`` give with output grads ``(Y - T) + (Y - T)``.
+        """
+        probabilities = self._operand(probabilities, self.width, "probabilities")
+        targets = self._operand(targets, self.num_outputs, "targets")
+        self._fn(_ptr(probabilities, self._ctype), _ptr(targets, self._ctype), *self._tail)
+        return self.outputs, self.input_grads
